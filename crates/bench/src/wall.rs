@@ -254,8 +254,7 @@ fn paper_launches() -> Vec<Launch> {
 }
 
 /// Measures every paper kernel under every engine: `iters` timed
-/// launches each, after one untimed warm-up launch (which also pays
-/// the compiled engine's one-time lowering).
+/// launches each, after one untimed warm-up launch.
 ///
 /// # Errors
 ///

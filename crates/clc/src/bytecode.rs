@@ -8,6 +8,7 @@ use crate::analysis::KernelReport;
 use crate::ast::ParamType;
 use crate::diag::Span;
 use crate::types::ScalarType;
+use crate::vm::Lowered;
 
 /// Arithmetic binary operations (operands already unified to one type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +187,9 @@ pub struct CompiledKernel {
     pub name: String,
     /// Parameter signature, in declaration order.
     pub params: Vec<ParamType>,
-    /// The instruction stream.
-    pub code: Vec<Instr>,
+    /// The instruction stream (read through [`CompiledKernel::code`]:
+    /// `lowered` is built from it, so it never changes after compile).
+    pub(crate) code: Vec<Instr>,
     /// Number of local slots (parameters first, then declared variables).
     pub n_slots: u16,
     /// Bytes of work-group local memory statically declared by the kernel
@@ -208,6 +210,9 @@ pub struct CompiledKernel {
     pub local_arrays: Vec<LocalArrayInfo>,
     /// Static-analysis results, attached by [`crate::compile`].
     pub report: KernelReport,
+    /// `code` lowered for the compiled engine, once, when the kernel is
+    /// built; clones share it.
+    pub(crate) lowered: Lowered,
 }
 
 /// Metadata for one statically-declared `__local` array.
@@ -242,6 +247,11 @@ pub struct BarrierSite {
 }
 
 impl CompiledKernel {
+    /// The instruction stream.
+    pub fn code(&self) -> &[Instr] {
+        &self.code
+    }
+
     /// Number of declared parameters.
     pub fn arity(&self) -> usize {
         self.params.len()
@@ -322,10 +332,12 @@ mod tests {
     use super::*;
 
     fn dummy(name: &str) -> CompiledKernel {
+        let code = vec![Instr::Return];
         CompiledKernel {
             name: name.to_string(),
             params: vec![],
-            code: vec![Instr::Return],
+            lowered: Lowered::new(&code),
+            code,
             n_slots: 0,
             static_local_bytes: 0,
             uses_barrier: false,

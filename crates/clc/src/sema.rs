@@ -168,6 +168,7 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
     Ok(CompiledKernel {
         name: k.name.clone(),
         params,
+        lowered: crate::vm::Lowered::new(&cx.code),
         code: cx.code,
         n_slots: cx.n_slots,
         static_local_bytes: cx.local_bytes,

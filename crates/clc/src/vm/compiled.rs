@@ -9,9 +9,9 @@
 //! Values that cross a block seam are spilled to canonical temporary
 //! slots appended after the kernel's declared slots, so control-flow
 //! joins (short-circuit booleans, conditional expressions) still see
-//! one well-defined location per stack depth. Lowered code is cached
-//! process-wide keyed by the instruction stream, so repeated launches
-//! of one kernel pay lowering exactly once.
+//! one well-defined location per stack depth. Each kernel is lowered
+//! exactly once, when [`crate::sema`] builds it; the result rides on the
+//! [`CompiledKernel`] (see [`Lowered`]), so launches never lower again.
 //!
 //! Observational equivalence with the reference interpreter is a hard
 //! requirement (the differential proptests assert byte-identical
@@ -33,8 +33,8 @@
 //! * items run under the same pass-based round-robin group schedule
 //!   ([`interp::build_items`] / [`interp::barrier_stall_check`]).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::fmt;
+use std::sync::Arc;
 
 use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math2};
 use crate::types::ScalarType;
@@ -67,7 +67,7 @@ struct Op {
 }
 
 /// A kernel lowered to superop form.
-pub(super) struct CompiledCode {
+pub(crate) struct CompiledCode {
     /// Dense op sequence (several ops can share one bytecode position).
     ops: Vec<Op>,
     /// Arena of expression-tree nodes referenced by the ops.
@@ -84,6 +84,31 @@ pub(super) struct CompiledCode {
     /// Lowering bailed (non-reconstructible stack shapes); execute via
     /// the interpreter instead. Never taken for sema-produced bytecode.
     fallback: bool,
+}
+
+/// A kernel's lowered code, carried on its [`CompiledKernel`] and shared
+/// by its clones. It is a pure function of the kernel's bytecode, so it
+/// takes no part in the kernel's `PartialEq` or `Debug`.
+#[derive(Clone)]
+pub(crate) struct Lowered(Arc<CompiledCode>);
+
+impl Lowered {
+    /// Lowers `code` (see the module docs).
+    pub(crate) fn new(code: &[Instr]) -> Self {
+        Lowered(Arc::new(lower(code)))
+    }
+}
+
+impl PartialEq for Lowered {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Lowered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Lowered")
+    }
 }
 
 /// Per-activation execution context handed to every op closure.
@@ -1291,155 +1316,6 @@ fn lower(code: &[Instr]) -> CompiledCode {
     }
 }
 
-// --- lowering cache -------------------------------------------------------
-
-struct CacheEntry {
-    code: Vec<Instr>,
-    compiled: Arc<CompiledCode>,
-}
-
-type Cache = Mutex<HashMap<u64, Vec<CacheEntry>>>;
-
-static CACHE: OnceLock<Cache> = OnceLock::new();
-
-/// Keep the cache bounded: kernels are few in practice, but a soak run
-/// compiling generated kernels must not leak without bound.
-const MAX_CACHED_KERNELS: usize = 1024;
-
-/// Hashes an instruction stream without allocating or formatting.
-/// `Instr` carries `f64`, so it is not `Hash`; this folds a variant
-/// tag plus every field (floats by bit pattern) into an FNV-1a
-/// accumulator. The lookup runs on every launch, so it must be cheap;
-/// collisions are resolved by `PartialEq` below.
-fn code_hash(code: &[Instr]) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        #[inline]
-        fn mix(&mut self, v: u64) {
-            self.0 ^= v;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.mix(code.len() as u64);
-    for i in code {
-        match *i {
-            Instr::PushInt(v, ty) => {
-                h.mix(1);
-                h.mix(v as u64);
-                h.mix(ty as u64);
-            }
-            Instr::PushFloat(v, ty) => {
-                h.mix(2);
-                h.mix(v.to_bits());
-                h.mix(ty as u64);
-            }
-            Instr::PushBool(b) => {
-                h.mix(3);
-                h.mix(u64::from(b));
-            }
-            Instr::PushLocalPtr { byte_offset, elem } => {
-                h.mix(4);
-                h.mix(u64::from(byte_offset));
-                h.mix(elem as u64);
-            }
-            Instr::LoadLocal(s) => {
-                h.mix(5);
-                h.mix(u64::from(s));
-            }
-            Instr::StoreLocal(s) => {
-                h.mix(6);
-                h.mix(u64::from(s));
-            }
-            Instr::LoadMem(ty) => {
-                h.mix(7);
-                h.mix(ty as u64);
-            }
-            Instr::StoreMem(ty) => {
-                h.mix(8);
-                h.mix(ty as u64);
-            }
-            Instr::PtrAdd => h.mix(9),
-            Instr::Bin(k, ty) => {
-                h.mix(10);
-                h.mix(k as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Cmp(k, ty) => {
-                h.mix(11);
-                h.mix(k as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Neg(ty) => {
-                h.mix(12);
-                h.mix(ty as u64);
-            }
-            Instr::BitNot(ty) => {
-                h.mix(13);
-                h.mix(ty as u64);
-            }
-            Instr::NotBool => h.mix(14),
-            Instr::Cast { from, to } => {
-                h.mix(15);
-                h.mix(from as u64);
-                h.mix(to as u64);
-            }
-            Instr::Jump(t) => {
-                h.mix(16);
-                h.mix(u64::from(t));
-            }
-            Instr::JumpIfFalse(t) => {
-                h.mix(17);
-                h.mix(u64::from(t));
-            }
-            Instr::JumpIfTrue(t) => {
-                h.mix(18);
-                h.mix(u64::from(t));
-            }
-            Instr::CallMath1(m, ty) => {
-                h.mix(19);
-                h.mix(m as u64);
-                h.mix(ty as u64);
-            }
-            Instr::CallMath2(m, ty) => {
-                h.mix(20);
-                h.mix(m as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Query(g) => {
-                h.mix(21);
-                h.mix(g as u64);
-            }
-            Instr::Barrier => h.mix(22),
-            Instr::Return => h.mix(23),
-            Instr::Dup => h.mix(24),
-            Instr::Pop => h.mix(25),
-        }
-    }
-    h.0
-}
-
-/// Returns the lowered form of `kernel`, compiling on first sight.
-pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> Arc<CompiledCode> {
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = code_hash(&kernel.code);
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(entries) = map.get(&key) {
-        if let Some(e) = entries.iter().find(|e| e.code == kernel.code) {
-            return Arc::clone(&e.compiled);
-        }
-    }
-    let compiled = Arc::new(lower(&kernel.code));
-    if map.len() >= MAX_CACHED_KERNELS {
-        map.clear();
-    }
-    map.entry(key).or_default().push(CacheEntry {
-        code: kernel.code.clone(),
-        compiled: Arc::clone(&compiled),
-    });
-    compiled
-}
-
 // --- drivers --------------------------------------------------------------
 
 /// Full-launch compiled-engine driver. With `allow_parallel`, runs
@@ -1452,8 +1328,7 @@ pub(super) fn run(
     range: &NdRange,
     allow_parallel: bool,
 ) -> Result<ExecStats, ExecError> {
-    let ccode = lookup_or_lower(kernel);
-    if ccode.fallback {
+    if kernel.lowered.0.fallback {
         return super::interp::run(kernel, args, buffers, range, None, None);
     }
     range.validate()?;
@@ -1466,7 +1341,6 @@ pub(super) fn run(
     if allow_parallel {
         if let Some(result) = super::parallel::try_run_parallel(
             kernel,
-            &ccode,
             &bound,
             args,
             buffers,
@@ -1484,7 +1358,6 @@ pub(super) fn run(
         for gy in 0..num_groups[1] {
             for gx in 0..num_groups[0] {
                 run_group(
-                    &ccode,
                     kernel,
                     &bound,
                     &mut mem,
@@ -1505,7 +1378,6 @@ pub(super) fn run(
 /// round-robin schedule.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_group(
-    ccode: &CompiledCode,
     kernel: &CompiledKernel,
     bound: &[Value],
     mem: &mut Memory<'_>,
@@ -1515,6 +1387,7 @@ pub(super) fn run_group(
     arena: &mut [u8],
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
+    let ccode = &*kernel.lowered.0;
     arena.fill(0);
     let want = (ccode.min_slots as usize).max(usize::from(kernel.n_slots));
     if !ccode.has_barrier {
@@ -1643,5 +1516,71 @@ fn run_item(
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile;
+
+    const SRC: &str = r#"
+        __kernel void axpy(__global int* y, __global const int* x, int a) {
+            int i = get_global_id(0);
+            y[i] = a * x[i] + y[i];
+        }
+    "#;
+
+    #[test]
+    fn each_kernel_is_lowered_once_and_clones_share_it() {
+        let program = compile(SRC).expect("compile");
+        let kernel = program.kernel("axpy").expect("kernel");
+        let clone = kernel.clone();
+        assert!(Arc::ptr_eq(&kernel.lowered.0, &clone.lowered.0));
+        assert!(!kernel.lowered.0.fallback);
+        let again = compile(SRC).expect("compile");
+        assert_eq!(kernel, again.kernel("axpy").expect("kernel"));
+    }
+
+    #[test]
+    fn fallback_lowering_still_matches_the_interpreter() {
+        let program = compile(SRC).expect("compile");
+        let mut kernel = program.kernel("axpy").expect("kernel").clone();
+        // Replace the final `Return` with a diamond whose two edges reach
+        // the join at different stack depths: lowering cannot give the
+        // join one shape, so the compiled engine must hand the launch to
+        // the interpreter.
+        assert_eq!(kernel.code.pop(), Some(Instr::Return));
+        let at = kernel.code.len() as u32;
+        kernel.code.extend([
+            Instr::PushBool(true),
+            Instr::JumpIfFalse(at + 4),
+            Instr::PushInt(1, ScalarType::I32),
+            Instr::Jump(at + 4),
+            Instr::Return,
+        ]);
+        let span = kernel.spans.pop().expect("span per instruction");
+        kernel.spans.resize(kernel.code.len(), span);
+        kernel.lowered = Lowered::new(&kernel.code);
+        assert!(kernel.lowered.0.fallback);
+
+        let args = [
+            ArgValue::global(0),
+            ArgValue::global(1),
+            ArgValue::from_i32(3),
+        ];
+        let range = NdRange::linear(256, 64);
+        let run = |engine| {
+            let mut bufs = vec![
+                GlobalBuffer::from_i32(&(0..256).collect::<Vec<_>>()),
+                GlobalBuffer::from_i32(&(0..256).map(|i| 1000 - i).collect::<Vec<_>>()),
+            ];
+            let stats = run_ndrange_with_engine(&kernel, &args, &mut bufs, &range, engine)
+                .expect("run succeeds");
+            (stats, bufs[0].as_bytes().to_vec())
+        };
+        let reference = run(EngineKind::Interp);
+        assert_eq!(run(EngineKind::CompiledSerial), reference);
+        assert_eq!(run(EngineKind::Compiled), reference);
     }
 }

@@ -8,7 +8,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::ast::ParamType;
 use crate::bytecode::CompiledKernel;
@@ -19,6 +18,7 @@ mod interp;
 mod ops;
 mod parallel;
 
+pub(crate) use compiled::Lowered;
 pub use parallel::parallel_groups_safe;
 
 /// What class of failure an [`ExecError`] reports.
@@ -621,7 +621,7 @@ fn local_race_error(kernel: &CompiledKernel, item: u32, other: u32, verb: &str) 
     )
 }
 
-/// Which execution engine [`run_ndrange`] drives.
+/// Which execution engine [`run_ndrange_with_engine`] drives.
 ///
 /// All engines are observationally identical: same output bytes, same
 /// [`ExecStats`], same structured errors. The interpreter is the
@@ -638,50 +638,18 @@ pub enum EngineKind {
     CompiledSerial,
     /// The compiled engine, plus parallel work-group execution for
     /// kernels the effect prover shows are safe (sequential fallback
-    /// otherwise). This is the default.
+    /// otherwise). This is what [`run_ndrange`] runs.
     Compiled,
-}
-
-/// Process-wide engine override set by [`set_default_engine`].
-/// 0 = unset (consult `HAOCL_VM_ENGINE`, then default), 1..=3 = kinds.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the engine [`run_ndrange`] selects, process-wide.
-/// `None` restores env/default selection.
-pub fn set_default_engine(kind: Option<EngineKind>) {
-    let v = match kind {
-        None => 0,
-        Some(EngineKind::Interp) => 1,
-        Some(EngineKind::CompiledSerial) => 2,
-        Some(EngineKind::Compiled) => 3,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The engine [`run_ndrange`] will use: the [`set_default_engine`]
-/// override if set, else `HAOCL_VM_ENGINE` (`interp`, `compiled-serial`,
-/// `compiled`), else [`EngineKind::Compiled`].
-pub fn default_engine() -> EngineKind {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => EngineKind::Interp,
-        2 => EngineKind::CompiledSerial,
-        3 => EngineKind::Compiled,
-        _ => match std::env::var("HAOCL_VM_ENGINE").ok().as_deref() {
-            Some("interp") => EngineKind::Interp,
-            Some("compiled-serial") => EngineKind::CompiledSerial,
-            _ => EngineKind::Compiled,
-        },
-    }
 }
 
 /// Executes `kernel` across the whole `range`.
 ///
 /// `args` supplies one [`ArgValue`] per kernel parameter, and
-/// [`ArgValue::GlobalBuffer`] entries index into `buffers`. Runs on the
-/// engine chosen by [`default_engine`]; every engine is deterministic
-/// and byte-identical to the reference interpreter (device parallelism
-/// is *modelled* by `haocl-device` — OS-thread parallelism here is only
-/// used where the effect prover shows group order is unobservable).
+/// [`ArgValue::GlobalBuffer`] entries index into `buffers`. Runs on
+/// [`EngineKind::Compiled`], which is deterministic and byte-identical
+/// to the reference interpreter (device parallelism is *modelled* by
+/// `haocl-device` — OS-thread parallelism here is only used where the
+/// effect prover shows group order is unobservable).
 ///
 /// # Errors
 ///
@@ -693,12 +661,11 @@ pub fn run_ndrange(
     buffers: &mut [GlobalBuffer],
     range: &NdRange,
 ) -> Result<ExecStats, ExecError> {
-    run_ndrange_with_engine(kernel, args, buffers, range, default_engine())
+    compiled::run(kernel, args, buffers, range, true)
 }
 
-/// [`run_ndrange`] on an explicitly chosen engine, ignoring the
-/// process-wide default. This is what differential tests use to compare
-/// engines without racing on global state.
+/// [`run_ndrange`] on an explicitly chosen engine. This is what
+/// differential tests and benchmarks use to compare engines.
 ///
 /// # Errors
 ///
@@ -1618,17 +1585,5 @@ mod tests {
             &[ArgValue::global(0)],
             &NdRange::d2([1024, 8], [64, 4]),
         ));
-    }
-
-    #[test]
-    fn engine_selection_override_round_trip() {
-        set_default_engine(Some(EngineKind::Interp));
-        assert_eq!(default_engine(), EngineKind::Interp);
-        set_default_engine(Some(EngineKind::CompiledSerial));
-        assert_eq!(default_engine(), EngineKind::CompiledSerial);
-        set_default_engine(None);
-        // Back to env/default selection (never the value we just cleared
-        // unless the env says so).
-        let _ = default_engine();
     }
 }

@@ -48,7 +48,7 @@ use std::sync::Mutex;
 use crate::analysis::effects::{AccessPattern, PatternBase};
 use crate::bytecode::CompiledKernel;
 
-use super::compiled::{run_group, CompiledCode, Memory, SharedBufs};
+use super::compiled::{run_group, Memory, SharedBufs};
 use super::*;
 
 /// Below this many total work-items a launch is not worth fanning out.
@@ -137,10 +137,8 @@ fn thread_count(total_groups: u64) -> u64 {
 /// returns `None` when the launch should take the sequential path
 /// (prover can't show safety, too small to pay for threads, or a
 /// single-group range).
-#[allow(clippy::too_many_arguments)]
 pub(super) fn try_run_parallel(
     kernel: &CompiledKernel,
-    ccode: &CompiledCode,
     bound: &[Value],
     args: &[ArgValue],
     buffers: &mut [GlobalBuffer],
@@ -192,7 +190,6 @@ pub(super) fn try_run_parallel(
                     let gy = (flat / num_groups[0]) % num_groups[1];
                     let gz = flat / (num_groups[0] * num_groups[1]);
                     let r = run_group(
-                        ccode,
                         kernel,
                         bound,
                         &mut mem,

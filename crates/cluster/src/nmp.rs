@@ -350,11 +350,13 @@ fn handle(
     // Wall clock is legal here: it never feeds virtual-time accounting,
     // only the `wall_nanos` observability field on shipped spans.
     let wall_start = std::time::Instant::now();
-    let (body, completed) = dispatch(&mut state, user, request.body, arrival);
+    let mut vm_wall_nanos = 0;
+    let (body, completed) = dispatch(&mut state, user, request.body, arrival, &mut vm_wall_nanos);
     let wall_nanos = wall_start.elapsed().as_nanos() as u64;
     // For traced requests the node ships its side of the span tree back in
     // the response: a dispatch span covering the NMP's handling, plus —
-    // for kernel launches — the VM run interval the reply already carries.
+    // for kernel launches — the VM run interval the reply already carries,
+    // stamped with the wall time of the run alone.
     // Span ids are derived from the correlation token (host-side ids never
     // set the high bit), so no cross-network id coordination is needed.
     let spans = if traced {
@@ -378,7 +380,7 @@ fn handle(
                 category: "Compute".to_string(),
                 start_nanos: *start_nanos,
                 end_nanos: *end_nanos,
-                wall_nanos,
+                wall_nanos: vm_wall_nanos,
             });
         }
         spans.insert(
@@ -762,11 +764,15 @@ fn device_error_reply(e: DeviceError) -> ApiReply {
     err_reply(code, e.to_string())
 }
 
+/// Executes one call against the node. Kernel launches set
+/// `vm_wall_nanos` to the wall time of the device run (for a fused
+/// launch, all its parts back to back).
 fn dispatch(
     state: &mut NodeState,
     user: UserId,
     call: ApiCall,
     at: SimTime,
+    vm_wall_nanos: &mut u64,
 ) -> (ApiReply, SimTime) {
     match call {
         ApiCall::Hello { client: _ } | ApiCall::ListDevices => {
@@ -1104,7 +1110,10 @@ fn dispatch(
             let Some(dev) = state.devices.get_mut(device as usize) else {
                 return (err_reply(status::INVALID_DEVICE, "no such device"), at);
             };
-            match dev.launch(&k, &args, &nd, &cost, fidelity, at) {
+            let vm_start = std::time::Instant::now();
+            let launched = dev.launch(&k, &args, &nd, &cost, fidelity, at);
+            *vm_wall_nanos = vm_start.elapsed().as_nanos() as u64;
+            match launched {
                 // Enqueue is non-blocking (OpenCL semantics): the reply
                 // leaves at receipt time while the kernel occupies the
                 // device timeline until `end_nanos`. Later operations on
@@ -1175,7 +1184,10 @@ fn dispatch(
             let Some(dev) = state.devices.get_mut(device as usize) else {
                 return (err_reply(status::INVALID_DEVICE, "no such device"), at);
             };
-            match dev.launch_fused(&fused, fidelity, at) {
+            let vm_start = std::time::Instant::now();
+            let launched = dev.launch_fused(&fused, fidelity, at);
+            *vm_wall_nanos = vm_start.elapsed().as_nanos() as u64;
+            match launched {
                 Ok(outcome) => (
                     ApiReply::LaunchDone {
                         start_nanos: outcome.grant.start.as_nanos(),

@@ -1,6 +1,7 @@
 //! The cluster layer's half of the trace contract: a traced submit must
 //! come back with the node's dispatch/VM spans, correctly parented under
-//! the caller's context, and an untraced submit must come back with none.
+//! the caller's context and each stamped with its own wall time, and an
+//! untraced submit must come back with none.
 
 use haocl_cluster::{ClusterConfig, LocalCluster};
 use haocl_kernel::KernelRegistry;
@@ -109,6 +110,14 @@ fn traced_launch_ships_node_spans_back() {
     assert_eq!(vm.parent, dispatch.id, "vm.run parents under dispatch");
     assert_ne!(dispatch.id & (1 << 63), 0, "node ids carry the high bit");
     assert!(dispatch.start_nanos <= vm.start_nanos && vm.end_nanos <= dispatch.end_nanos);
+    // `vm.run` is stamped with the VM's own wall time, which the dispatch
+    // interval strictly contains (kernel lookup, per-user accounting).
+    assert!(
+        vm.wall_nanos < dispatch.wall_nanos,
+        "vm.run wall {} must be below nmp.dispatch wall {}",
+        vm.wall_nanos,
+        dispatch.wall_nanos
+    );
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //! duplication, delays, crashes with failover) and requires the final
 //! bytes to stay bit-identical to the reference: journal replay plus
 //! residency epoch invalidation must reconstruct every replica the
-//! faults destroyed.
+//! faults destroyed. A named regression sweeps a node crash across every
+//! frame of one failover scenario.
 
 use std::time::Duration;
 
@@ -250,4 +251,70 @@ proptest! {
         let platform = chaotic_platform(seed, "crash=*@20,dup=0.1");
         check_against_reference(&platform, &ops);
     }
+}
+
+/// Regression: after a failover that unrelated traffic triggers,
+/// `revalidate()` once promoted the stale host shadow over the replica
+/// that journal replay had rebuilt on the survivor. Sweeps the crash of
+/// node 1 across every frame of the scenario.
+#[test]
+fn regression_no_stale_shadow_after_unrelated_failover() {
+    let node1_host = node_hosts(&ClusterConfig::gpu_cluster(2))[1].clone();
+    let mut failed_frames = Vec::new();
+    for frame in 1u64..120 {
+        let platform = chaotic_platform(7, &format!("crash={node1_host}@{frame}"));
+        let devices = platform.devices(DeviceType::All);
+        let ctx = Context::new(&platform, &devices).unwrap();
+        let queues: Vec<CommandQueue> = devices
+            .iter()
+            .map(|d| CommandQueue::new(&ctx, d).unwrap())
+            .collect();
+        let prog = Program::from_source(&ctx, SCRAMBLE_SRC);
+        prog.build().unwrap();
+        let kernel = Kernel::new(&prog, "scramble").unwrap();
+
+        let buf0 = Buffer::new(&ctx, MemFlags::READ_WRITE, SIZE as u64).unwrap();
+        let buf1 = Buffer::new(&ctx, MemFlags::READ_WRITE, SIZE as u64).unwrap();
+        let mut model = vec![0u8; SIZE];
+        let data: Vec<u8> = (1..=SIZE as u8).collect();
+
+        // Seed buf0 via node1's device, then scramble it there: node1's
+        // device becomes the sole current replica, the shadow goes stale.
+        if queues[1].enqueue_write_buffer(&buf0, 0, &data).is_err() {
+            continue;
+        }
+        model.copy_from_slice(&data);
+        kernel.set_arg_buffer(0, &buf0).unwrap();
+        let Ok(ev) = queues[1].enqueue_nd_range_kernel(&kernel, NdRange::linear(LANES as u64, 4))
+        else {
+            continue;
+        };
+        if ev.wait().is_err() {
+            continue;
+        }
+        scramble_ref(&mut model);
+
+        // Unrelated traffic to node1 around the crash: this is what
+        // detects the failure and bumps node1's epoch.
+        for _ in 0..6 {
+            let _ = queues[1].enqueue_write_buffer(&buf1, 0, &data);
+        }
+
+        // Now read buf0 in full.
+        let mut out = vec![0u8; SIZE];
+        if queues[0].enqueue_read_buffer(&buf0, 0, &mut out).is_err() {
+            continue;
+        }
+        if out != model {
+            failed_frames.push((frame, out.clone()));
+        }
+    }
+    assert!(
+        failed_frames.is_empty(),
+        "stale reads at crash frames: {:?}",
+        failed_frames
+            .iter()
+            .map(|(f, o)| (*f, o[..8].to_vec()))
+            .collect::<Vec<_>>()
+    );
 }

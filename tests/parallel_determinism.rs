@@ -5,17 +5,18 @@
 //! forced multi-threaded run (`HAOCL_VM_THREADS`, since CI machines may
 //! report a single core) has to produce byte-identical buffers and
 //! identical [`ExecStats`] to the sequential driver — every run, every
-//! interleaving. Through the full platform stack the same holds for the
-//! recorded span tree: virtual times, parents, names and attributes are
-//! all deterministic, with the single exception of the `wall_nanos`
+//! interleaving. Through the full platform stack, which always runs the
+//! compiled engine, the output bytes match the reference interpreter run
+//! through `run_ndrange_with_engine`, and the recorded span tree repeats
+//! exactly: virtual times, parents, names and attributes are all
+//! deterministic, with the single exception of the `wall_nanos`
 //! wall-clock annotation, which is stripped before comparing.
 
 use haocl::kernel::Kernel;
 use haocl::{Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program};
 use haocl_clc::compile;
 use haocl_clc::vm::{
-    parallel_groups_safe, run_ndrange_with_engine, set_default_engine, ArgValue, EngineKind,
-    GlobalBuffer, NdRange,
+    parallel_groups_safe, run_ndrange_with_engine, ArgValue, EngineKind, GlobalBuffer, NdRange,
 };
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::KernelRegistry;
@@ -125,11 +126,15 @@ fn inadmissible_kernels_fall_back_and_still_match() {
     assert_eq!(fallback[0].as_bytes(), serial[0].as_bytes());
 }
 
-/// Runs one traced launch through the whole platform stack on the given
-/// engine and returns the output bytes plus the span tree with the
-/// `wall_nanos` wall-clock annotations stripped.
-fn traced_run(engine: EngineKind) -> (Vec<u8>, Vec<Span>) {
-    set_default_engine(Some(engine));
+/// Input of the traced platform launch: 4096 `f32`s.
+fn traced_input() -> Vec<f32> {
+    (0..4096u32).map(|i| i as f32 * 0.5 - 7.0).collect()
+}
+
+/// Runs one traced launch of `scale(y, 3.5, 4096)` through the whole
+/// platform stack and returns the output bytes plus the span tree with
+/// the `wall_nanos` wall-clock annotations stripped.
+fn traced_run() -> (Vec<u8>, Vec<Span>) {
     let platform =
         Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
     platform.obs().set_enabled(true);
@@ -140,8 +145,9 @@ fn traced_run(engine: EngineKind) -> (Vec<u8>, Vec<Span>) {
     let kernel = Kernel::new(&program, "scale").unwrap();
     let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
 
-    let input: Vec<u8> = (0..4096u32)
-        .flat_map(|i| (i as f32 * 0.5 - 7.0).to_le_bytes())
+    let input: Vec<u8> = traced_input()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
         .collect();
     let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, input.len() as u64).unwrap();
     queue.enqueue_write_buffer(&buf, 0, &input).unwrap();
@@ -156,7 +162,6 @@ fn traced_run(engine: EngineKind) -> (Vec<u8>, Vec<Span>) {
     queue.finish();
 
     let mut spans = platform.obs().recorder.spans();
-    set_default_engine(None);
     for span in &mut spans {
         span.attrs.retain(|(key, _)| key != "wall_nanos");
     }
@@ -165,21 +170,33 @@ fn traced_run(engine: EngineKind) -> (Vec<u8>, Vec<Span>) {
 }
 
 #[test]
-fn span_trees_match_across_engines_modulo_wall_nanos() {
+fn platform_matches_interpreter_and_span_trees_repeat_modulo_wall_nanos() {
     force_threads();
-    let (serial_out, serial_spans) = traced_run(EngineKind::CompiledSerial);
-    let (parallel_out, parallel_spans) = traced_run(EngineKind::Compiled);
-    let (interp_out, interp_spans) = traced_run(EngineKind::Interp);
+    let (out, spans) = traced_run();
 
-    assert_eq!(serial_out, parallel_out, "output bytes diverge");
-    assert_eq!(serial_out, interp_out, "interpreter output diverges");
-    assert!(!serial_spans.is_empty(), "tracing recorded nothing");
+    let program = compile(SCALE_SRC).expect("scale compiles");
+    let kernel = program.kernel("scale").expect("scale exists");
+    let mut reference = vec![GlobalBuffer::from_f32(&traced_input())];
+    run_ndrange_with_engine(
+        kernel,
+        &[
+            ArgValue::global(0),
+            ArgValue::from_f32(3.5),
+            ArgValue::from_i32(4096),
+        ],
+        &mut reference,
+        &NdRange::linear(4096, 64),
+        EngineKind::Interp,
+    )
+    .expect("interpreter run succeeds");
     assert_eq!(
-        serial_spans, parallel_spans,
-        "span trees diverge between sequential and parallel execution"
+        out,
+        reference[0].as_bytes(),
+        "platform output diverges from the interpreter"
     );
-    assert_eq!(
-        serial_spans, interp_spans,
-        "span trees diverge between engines"
-    );
+
+    let (again_out, again_spans) = traced_run();
+    assert_eq!(out, again_out, "output bytes diverge between runs");
+    assert!(!spans.is_empty(), "tracing recorded nothing");
+    assert_eq!(spans, again_spans, "span trees diverge between runs");
 }
