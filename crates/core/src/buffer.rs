@@ -587,8 +587,18 @@ impl BufferInner {
         let mut st = self.state.lock();
         self.revalidate(&mut st);
         let epoch = self.live_epoch(device.index);
+        // A write over the whole buffer leaves no old byte standing, so
+        // only a partial write pulls a stale shadow first.
+        let whole = offset == 0 && end == self.size;
         if let HostData::Real(bytes) = data {
-            self.refresh_shadow_locked(&mut st)?;
+            if !whole {
+                self.refresh_shadow_locked(&mut st)?;
+            } else if !st.residency.host_current() {
+                self.platform
+                    .obs
+                    .metrics
+                    .inc_counter(names::SHADOW_REFRESHES_AVOIDED, &[], 1);
+            }
             st.shadow[offset as usize..end as usize].copy_from_slice(bytes);
         }
         self.allocate_locked(&mut st, device)?;
@@ -598,8 +608,9 @@ impl BufferInner {
         // nothing else can hold a diverging copy.
         let was_current = st.residency.is_current(device.index, epoch);
         // A partial push layers journaled bytes over the device's prior
-        // content, so the taint carries; a full push resets the lineage.
-        let replayable = if was_current {
+        // content, so the taint carries; a push of the whole buffer
+        // resets the lineage.
+        let replayable = if was_current && !whole {
             st.residency.replayable_at(device.index)
         } else {
             true
@@ -993,6 +1004,57 @@ mod tests {
             12
         );
         assert!(buf.inner.is_current_on(d1));
+    }
+
+    #[test]
+    fn whole_buffer_writes_skip_the_stale_shadow_pull() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
+        let d0 = &ctx.devices()[0];
+        let d1 = &ctx.devices()[1];
+        let m = &p.obs().metrics;
+        let relay = || m.counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_HOST_RELAY)]);
+        let avoided = || m.counter_value(names::SHADOW_REFRESHES_AVOIDED, &[]);
+        buf.inner.host_write(d0, 0, &[1; 8]).unwrap();
+        // Onto the device that owns the newest copy, then onto one that
+        // holds none: either way only the push crosses the host relay.
+        for (dev, fill) in [(d0, 2u8), (d1, 3)] {
+            buf.inner.note_kernel_write(d0); // shadow goes stale
+            let (relay0, avoided0) = (relay(), avoided());
+            buf.inner.host_write(dev, 0, &[fill; 8]).unwrap();
+            assert_eq!(relay() - relay0, 8, "the old contents must not be pulled");
+            assert_eq!(avoided() - avoided0, 1);
+            assert!(buf.inner.is_current_on(dev));
+            let mut out = vec![0u8; 8];
+            buf.inner.host_read(0, &mut out).unwrap();
+            assert_eq!(out, vec![fill; 8]);
+        }
+        // A whole write over a current shadow had nothing to avoid.
+        buf.inner.host_write(d1, 0, &[4; 8]).unwrap();
+        assert_eq!(avoided(), 2);
+    }
+
+    #[test]
+    fn partial_writes_still_pull_the_stale_shadow() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
+        let d0 = &ctx.devices()[0];
+        let m = &p.obs().metrics;
+        let relay = || m.counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_HOST_RELAY)]);
+        buf.inner
+            .host_write(d0, 0, &[1, 2, 3, 4, 5, 6, 7, 8])
+            .unwrap();
+        buf.inner.note_kernel_write(d0);
+        // Scribble over the stale shadow: the merged bytes can only come
+        // from the device.
+        buf.inner.state.lock().shadow.fill(0xEE);
+        let relay0 = relay();
+        buf.inner.host_write(d0, 2, &[9, 9]).unwrap();
+        assert_eq!(relay() - relay0, 8 + 2, "8-byte pull, then a 2-byte push");
+        assert_eq!(m.counter_value(names::SHADOW_REFRESHES_AVOIDED, &[]), 0);
+        let mut out = vec![0u8; 8];
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!(out, vec![1, 2, 9, 9, 5, 6, 7, 8]);
     }
 
     #[test]

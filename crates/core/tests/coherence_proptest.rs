@@ -75,6 +75,19 @@ fn op_strategy(devices: usize) -> impl Strategy<Value = Op> {
                 offset,
                 data,
             }),
+        // Overwrites the whole buffer: the host skips pulling the old
+        // contents first.
+        (
+            0..2usize,
+            0..devices,
+            proptest::collection::vec(any::<u8>(), SIZE..SIZE + 1)
+        )
+            .prop_map(|(buf, dev, data)| Op::HostWrite {
+                buf,
+                dev,
+                offset: 0,
+                data,
+            }),
         (0..2usize, 0..SIZE, 1..SIZE + 1).prop_map(|(buf, offset, len)| Op::HostRead {
             buf,
             offset,

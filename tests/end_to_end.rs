@@ -8,6 +8,7 @@ use haocl::{
 };
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{CostModel, KernelRegistry, NdRange};
+use haocl_obs::names;
 
 fn to_bytes(v: &[f32]) -> Vec<u8> {
     v.iter().flat_map(|f| f.to_le_bytes()).collect()
@@ -118,6 +119,62 @@ fn coherence_moves_data_across_nodes_through_the_host() {
         .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
         .collect();
     assert_eq!(vals, vec![12, 22, 32, 42]);
+}
+
+#[test]
+fn whole_buffer_round_trips_move_each_byte_twice() {
+    // Write the whole buffer, transform it in place, read it back — on
+    // alternating nodes. Nothing of the old contents survives the write,
+    // so the host relay carries the push and the read and nothing else.
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let program = Program::from_source(
+        &ctx,
+        "__kernel void mix(__global uint* a, uint k) {
+            uint i = get_global_id(0);
+            a[i] = a[i] * 3u + k;
+        }",
+    );
+    program.build().unwrap();
+    let kernel = Kernel::new(&program, "mix").unwrap();
+    let queues: Vec<CommandQueue> = devices
+        .iter()
+        .map(|d| CommandQueue::new(&ctx, d).unwrap())
+        .collect();
+    const WORDS: usize = 1024;
+    let size = 4 * WORDS as u64;
+    let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, size).unwrap();
+    kernel.set_arg_buffer(0, &buf).unwrap();
+    let metrics = &platform.obs().metrics;
+    let relay =
+        || metrics.counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_HOST_RELAY)]);
+    for op in 0..6u32 {
+        let queue = &queues[op as usize % 2];
+        let input: Vec<u32> = (0..WORDS as u32).map(|i| i ^ (op << 16)).collect();
+        let bytes: Vec<u8> = input.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let before = relay();
+        queue.enqueue_write_buffer(&buf, 0, &bytes).unwrap();
+        kernel.set_arg_u32(1, op).unwrap();
+        queue
+            .enqueue_nd_range_kernel(&kernel, NdRange::linear(WORDS as u64, 64))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let mut out = vec![0u8; size as usize];
+        queue.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
+        assert_eq!(relay() - before, 2 * size, "op {op}");
+        let got: Vec<u32> = out
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let expect: Vec<u32> = input
+            .iter()
+            .map(|w| w.wrapping_mul(3).wrapping_add(op))
+            .collect();
+        assert_eq!(got, expect, "op {op}");
+    }
 }
 
 #[test]
