@@ -48,6 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use haocl_net::{ConnSender, Fabric, NetError};
 use haocl_obs::{
     names, CandidateInfo, FusionDecision, Hub, PlacementAudit, PredictionSource, TraceCtx,
@@ -57,9 +58,9 @@ use haocl_proto::ids::{IdAllocator, NodeId, RequestId, UserId};
 use haocl_proto::messages::{
     ApiCall, ApiReply, DeviceDescriptor, Envelope, Request, Response, WireSpan,
 };
+use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
 #[cfg(test)]
-use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_slice, encode_into_vec};
+use haocl_proto::wire::{decode_from_slice, encode_to_vec};
 use haocl_sim::{Clock, SimTime};
 
 use crate::config::{ClusterConfig, NodeSpec};
@@ -1731,7 +1732,7 @@ fn demux_loop(
             return;
         }
         match rx.recv_frame_timeout(DEMUX_POLL) {
-            Ok((frame, received_at)) => match decode_from_slice::<Response>(&frame) {
+            Ok((frame, arrival)) => match decode_from_bytes::<Response>(Bytes::from_owner(frame)) {
                 Ok(response) => {
                     if response.duplicate {
                         obs.metrics.inc_counter(
@@ -1740,7 +1741,7 @@ fn demux_loop(
                             1,
                         );
                     }
-                    shared.complete(response, received_at);
+                    shared.complete(response, arrival);
                 }
                 Err(e) => {
                     if retired.load(Ordering::SeqCst) {

@@ -41,9 +41,9 @@ use haocl_proto::messages::{
     status, ApiCall, ApiReply, Envelope, Request, Response, WireAccessPattern, WireArgEffect,
     WireKernelReport, WireSpan,
 };
+use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
 #[cfg(test)]
-use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_slice, encode_into_vec};
+use haocl_proto::wire::{decode_from_slice, encode_to_vec};
 use haocl_sim::SimTime;
 
 use crate::config::NodeSpec;
@@ -267,7 +267,7 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
         // The host may coalesce several control messages into one
         // envelope; each request still gets its own response frame so
         // the host can complete them individually (and out of order).
-        let envelope: Envelope = match decode_from_slice(&frame) {
+        let envelope: Envelope = match decode_from_bytes(Bytes::from_owner(frame)) {
             Ok(e) => e,
             // A malformed package: drop the connection, as a real daemon
             // would after a framing-level protocol violation.
@@ -683,7 +683,7 @@ fn peer_round_trip(
     let (frame, received_at) = conn
         .recv_frame_timeout(PEER_PATIENCE)
         .map_err(|e| failed("did not answer", e.to_string()))?;
-    let response: Response = decode_from_slice(&frame)
+    let response: Response = decode_from_bytes(Bytes::from_owner(frame))
         .map_err(|e| failed("sent an undecodable reply", e.to_string()))?;
     match response.body {
         ApiReply::Error { code, message } => Err(err_reply(code, message)),

@@ -51,11 +51,22 @@ fn policy_for(config: &ClusterConfig, seed: u64, spec: &str) -> ChaosPolicy {
 }
 
 /// Drives a fixed two-node pipeline — create/write/build/create-kernel,
-/// three launch rounds, read back — and returns each node's final buffer
-/// bytes plus the observed fault schedule. With `chaos`, the policy is
-/// installed after the handshake and recovery enabled with
-/// `base_timeout` patience.
+/// three launch rounds, read back — on one 32-byte buffer per node, and
+/// returns each node's final buffer bytes plus the observed fault
+/// schedule. With `chaos`, the policy is installed after the handshake
+/// and recovery enabled with `base_timeout` patience.
 fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<u8>>, Vec<String>) {
+    scripted_run_sized(chaos, base_timeout, 32)
+}
+
+/// [`scripted_run`] on `size`-byte buffers: every launch ticks all
+/// `size / 4` floats.
+fn scripted_run_sized(
+    chaos: Option<(u64, &str)>,
+    base_timeout: Duration,
+    size: u64,
+) -> (Vec<Vec<u8>>, Vec<String>) {
+    let items = size / 4;
     let config = ClusterConfig::gpu_cluster(2);
     let cluster = LocalCluster::launch(&config, KernelRegistry::new()).unwrap();
     if let Some((seed, spec)) = chaos {
@@ -73,11 +84,11 @@ fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<
             ApiCall::CreateBuffer {
                 device: 0,
                 buffer: buf,
-                size: 32,
+                size,
             },
         )
         .unwrap();
-        let init: Vec<u8> = (0..8)
+        let init: Vec<u8> = (0..items)
             .flat_map(|i| (n as f32 + i as f32 * 0.5).to_le_bytes())
             .collect();
         host.call(
@@ -120,13 +131,13 @@ fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<
                     args: vec![WireArg::Buffer(BufferId::new(n + 1))],
                     range: WireNdRange {
                         work_dim: 1,
-                        global: [8, 1, 1],
+                        global: [items, 1, 1],
                         local: [4, 1, 1],
                     },
                     cost: WireCost {
-                        flops: 16.0,
-                        bytes_read: 32.0,
-                        bytes_written: 32.0,
+                        flops: 2.0 * items as f64,
+                        bytes_read: size as f64,
+                        bytes_written: size as f64,
                         uniform: true,
                         streaming: false,
                     },
@@ -146,7 +157,7 @@ fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<
                     device: 0,
                     buffer: BufferId::new(n + 1),
                     offset: 0,
-                    len: 32,
+                    len: size,
                 },
             )
             .unwrap();
@@ -217,6 +228,34 @@ fn outputs_are_bit_identical_to_fault_free_under_every_schedule() {
             assert_eq!(
                 bytes,
                 golden,
+                "seed {seed} spec `{spec}` diverged from the fault-free \
+                 golden; repro schedule:\n{}",
+                schedule.join("\n")
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_mtu_frames_stay_bit_identical_under_every_schedule() {
+    // 64 KiB per node: every write request and read reply is a frame of
+    // dozens of MTUs, so duplicates, reorders and crash replays move
+    // whole multi-MTU frames.
+    const SIZE: u64 = 64 << 10;
+    let patience = Duration::from_millis(10);
+    let (golden, no_faults) = scripted_run_sized(None, patience, SIZE);
+    assert!(no_faults.is_empty(), "fault-free run injects nothing");
+    assert!(golden.iter().all(|b| b.len() == SIZE as usize));
+    let specs = [
+        "crash=*@9",
+        "drop=0.1,dup=0.25",
+        "delay=0.4:300us,dup=0.2,reorder=0.2",
+    ];
+    for seed in 1..=3u64 {
+        for spec in specs {
+            let (bytes, schedule) = scripted_run_sized(Some((seed, spec)), patience, SIZE);
+            assert!(
+                bytes == golden,
                 "seed {seed} spec `{spec}` diverged from the fault-free \
                  golden; repro schedule:\n{}",
                 schedule.join("\n")

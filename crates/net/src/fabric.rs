@@ -11,6 +11,10 @@
 //! 2. takes one propagation latency,
 //! 3. arrives with a virtual timestamp the receiver reads back.
 //!
+//! A frame travels as one channel item: the receiver gets a view of the
+//! sender's sealed pooled buffer, with no copy and no per-MTU handoff.
+//! The link model charges whole frames, so this costs no virtual time.
+//!
 //! The shared host NIC is the backbone's bottleneck under fan-out, which
 //! is what limits scaling for communication-heavy benchmarks in Fig. 2.
 
@@ -26,7 +30,7 @@ use haocl_sim::{Clock, Resource, SimDuration, SimTime};
 
 use crate::chaos::{ChaosPolicy, ChaosVerdict};
 use crate::error::NetError;
-use crate::frame::{encode_frame_pooled, segment_pooled, FrameAssembler};
+use crate::frame::{encode_frame_pooled, FrameAssembler};
 use crate::pool::{BufferPool, PoolStats, PooledBytes};
 
 /// Bandwidth/latency model of every link in the fabric.
@@ -80,8 +84,8 @@ impl LinkModel {
 
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// A view into the frame's pooled allocation — chunks of one frame
-    /// share storage instead of carrying per-MTU copies.
+    /// The sender's sealed frame, prefix included. The fabric sends
+    /// each frame whole, so the receiver slices it without copying.
     bytes: PooledBytes,
     arrival: SimTime,
 }
@@ -482,18 +486,15 @@ impl ConnSender {
         Ok(arrival)
     }
 
-    /// Pushes one already-encoded frame's chunks onto the channel,
-    /// contiguously. Chunks are views of the frame's pooled allocation.
+    /// Pushes one sealed frame onto the channel as a single item: a view
+    /// of its pooled allocation, never a copy.
     fn transmit(&self, frame: &PooledBytes, arrival: SimTime) -> Result<(), NetError> {
-        for chunk in segment_pooled(frame) {
-            self.tx
-                .send(Chunk {
-                    bytes: chunk,
-                    arrival,
-                })
-                .map_err(|_| NetError::Disconnected)?;
-        }
-        Ok(())
+        self.tx
+            .send(Chunk {
+                bytes: frame.clone(),
+                arrival,
+            })
+            .map_err(|_| NetError::Disconnected)
     }
 }
 
@@ -729,7 +730,7 @@ impl std::fmt::Debug for Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame;
+    use crate::frame::{encode_frame, MTU};
 
     fn fabric() -> Fabric {
         Fabric::new(Clock::new(), LinkModel::gigabit_ethernet())
@@ -785,6 +786,27 @@ mod tests {
         client.send_frame(&payload, SimTime::ZERO).unwrap();
         let (data, _) = server.recv_frame().unwrap();
         assert_eq!(data, payload);
+    }
+
+    #[test]
+    fn multi_mtu_frames_arrive_as_views_of_the_sent_buffer() {
+        let f = fabric();
+        let listener = f.bind("n:1").unwrap();
+        let mut client = f.connect("host", "n:1").unwrap();
+        let mut server = listener.accept().unwrap();
+        let payload: Vec<u8> = (0..3 * MTU + 700).map(|i| (i % 253) as u8).collect();
+        let mut sent_at = std::ptr::null();
+        client
+            .send_frame_with(SimTime::ZERO, 0, |buf| {
+                buf.extend_from_slice(&payload);
+                sent_at = buf.as_ptr();
+            })
+            .unwrap();
+        let (data, _) = server.recv_frame().unwrap();
+        assert_eq!(data, payload);
+        // Past the 4-byte prefix of the very buffer the sender wrote:
+        // no reassembly copy on the way.
+        assert_eq!(data.as_ptr(), sent_at.wrapping_add(4));
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Length-prefixed framing with MTU segmentation.
+//! Length-prefixed framing, MTU segmentation and reassembly.
 //!
 //! Every message/data package travels as one *frame*: a little-endian
-//! `u32` length prefix followed by the payload. On the wire a frame is
-//! segmented into [`MTU`]-sized chunks (standard Ethernet payload size)
-//! and reassembled by a [`FrameAssembler`] at the receiver — partial
-//! arrival, interleaved boundary cases and corrupt prefixes are all
-//! exercised by the tests rather than hidden behind an in-process queue.
+//! `u32` length prefix followed by the payload. The fabric sends each
+//! frame whole, and a [`FrameAssembler`] at the receiver slices the
+//! payload out of it without copying.
 //!
-//! The hot path is copy-free end to end: [`segment`] yields borrowed
-//! sub-slices (the single-chunk ≤ MTU common case borrows the input
-//! frame outright), [`segment_pooled`] yields [`PooledBytes`] views
-//! sharing one pooled allocation, and the assembler's fast path slices
-//! complete frames straight out of the arriving chunk's storage.
+//! The assembler also accepts any other chunking of a frame stream:
+//! frames split across chunks are assembled through an internal buffer
+//! (one copy), and partial arrival, interleaved boundaries, truncation
+//! and corrupt prefixes are covered by the tests and proptests below.
+//! [`segment`] and [`segment_pooled`] cut a frame into [`MTU`]-sized
+//! chunks without copying (borrowed sub-slices and [`PooledBytes`]
+//! views respectively) for callers that model per-segment traffic.
 
 use crate::error::NetError;
 use crate::pool::{BufferPool, PooledBytes};
@@ -317,6 +317,58 @@ mod proptests {
             let got: Vec<Vec<u8>> = frames.iter().map(|f| f.to_vec()).collect();
             prop_assert_eq!(got, payloads);
             prop_assert_eq!(asm.pending_bytes(), 0);
+        }
+
+        #[test]
+        fn truncated_streams_yield_nothing_and_stay_pending(
+            payload in proptest::collection::vec(any::<u8>(), 0..4000),
+            keep in any::<u64>(),
+            cut in 1usize..1600,
+        ) {
+            let frame = encode_frame(&payload);
+            let fed = &frame[..(keep % frame.len() as u64) as usize];
+            let mut asm = FrameAssembler::new();
+            for piece in fed.chunks(cut) {
+                let chunk = PooledBytes::copy_from_slice(piece);
+                prop_assert!(asm.push_pooled(&chunk).unwrap().is_empty());
+            }
+            prop_assert_eq!(asm.pending_bytes(), fed.len());
+        }
+
+        #[test]
+        fn garbage_never_panics_and_oversize_prefixes_are_bad_frames(
+            garbage in proptest::collection::vec(any::<u8>(), 0..3000),
+            lead in proptest::collection::vec(any::<u8>(), 0..600),
+            bad_len in (MAX_FRAME_LEN + 1)..u32::MAX,
+            cut in 1usize..1600,
+        ) {
+            // Arbitrary bytes: every push either completes frames or
+            // reports a typed framing error.
+            let mut asm = FrameAssembler::new();
+            for piece in garbage.chunks(cut) {
+                if let Err(e) = asm.push(piece) {
+                    prop_assert!(matches!(e, NetError::BadFrame { .. }), "{:?}", e);
+                }
+            }
+            // A whole frame, then an oversize prefix: the push that
+            // completes the prefix fails, never a later one.
+            let mut stream = encode_frame(&lead);
+            let prefix_end = stream.len() + 4;
+            stream.extend_from_slice(&bad_len.to_le_bytes());
+            stream.extend_from_slice(&garbage);
+            let mut asm = FrameAssembler::new();
+            let mut fed = 0;
+            let mut failed_at = None;
+            for piece in stream.chunks(cut) {
+                fed += piece.len();
+                if let Err(e) = asm.push(piece) {
+                    prop_assert!(matches!(e, NetError::BadFrame { .. }), "{:?}", e);
+                    failed_at = Some(fed);
+                    break;
+                }
+            }
+            let failed_at = failed_at.expect("oversize prefix accepted");
+            prop_assert!(failed_at >= prefix_end && failed_at < prefix_end + cut);
         }
     }
 }

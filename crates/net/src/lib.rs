@@ -12,11 +12,13 @@
 //!   (Gigabit by default), so fan-out from the host serializes exactly as
 //!   it would on real hardware — this contention is what bends the
 //!   paper's Fig. 2 scaling curves.
-//! * [`frame`] — length-prefixed frames, segmented into Ethernet-MTU
-//!   chunks and reassembled at the receiver.
+//! * [`frame`] — length-prefixed frames. Each frame crosses the fabric
+//!   as one message; the module also segments frames into Ethernet-MTU
+//!   chunks and reassembles chunk streams, for callers that need it.
 //! * [`pool`] — recycled frame buffers behind cheaply sliceable
-//!   [`PooledBytes`] views; segmentation and reassembly share one
-//!   allocation per frame instead of copying per chunk.
+//!   [`PooledBytes`] views; the receiver gets a view of the sender's
+//!   buffer, and the buffer returns to the pool when the last view
+//!   (decoded payloads included) drops.
 //! * [`chaos`] — seeded, deterministic fault injection (drops, delays,
 //!   duplication, reordering, resets, crashes, partitions) installed on
 //!   a fabric via [`Fabric::install_chaos`].

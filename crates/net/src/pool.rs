@@ -5,14 +5,16 @@
 //! chunk*. [`BufferPool`] recycles the backing allocations instead:
 //! a sender checks a [`PoolBuf`] out, writes the frame into it, and
 //! seals it into a [`PooledBytes`] — a cheaply cloneable, sliceable
-//! view (chunk segmentation and reassembly slice it without copying).
-//! When the last view drops, the allocation returns to the pool for the
+//! view. The fabric hands that view to the receiver, which decodes the
+//! payload in place (`Bytes::from_owner` over the frame), so payload
+//! fields of a decoded message are views of the same allocation. When
+//! the last view drops, the allocation returns to the pool for the
 //! next frame.
 //!
 //! The pool is deliberately simple — a mutex-guarded free list — because
-//! the hot path amortizes it across whole frames, not per chunk. It is
-//! bounded both in buffer count and in retained capacity so a single
-//! huge transfer cannot pin memory forever.
+//! the hot path touches it once per frame. It is bounded both in buffer
+//! count and in retained capacity so a single huge transfer cannot pin
+//! memory forever.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,7 +181,7 @@ impl Drop for Storage {
 
 /// An immutable, cheaply cloneable view into a (possibly pooled) byte
 /// buffer. [`PooledBytes::slice`] shares the backing storage, which is
-/// what makes MTU segmentation and frame reassembly copy-free.
+/// how a receiver takes a frame's payload without copying it.
 #[derive(Clone)]
 pub struct PooledBytes {
     storage: Arc<Storage>,

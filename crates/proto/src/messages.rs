@@ -1553,7 +1553,7 @@ impl Decode for Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_from_slice, encode_to_vec};
+    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
@@ -1755,6 +1755,26 @@ mod tests {
         for call in calls {
             roundtrip(call);
         }
+    }
+
+    #[test]
+    fn decode_from_bytes_borrows_write_payloads() {
+        let call = ApiCall::WriteBuffer {
+            device: 0,
+            buffer: BufferId::new(5),
+            offset: 0,
+            data: Bytes::from(vec![0x5A; 4096]),
+        };
+        let input = Bytes::from(encode_to_vec(&call));
+        let range = input.as_ptr_range();
+        let back: ApiCall = decode_from_bytes(input.clone()).unwrap();
+        assert_eq!(back, call);
+        let ApiCall::WriteBuffer { data, .. } = back else {
+            unreachable!()
+        };
+        // The payload is a view of the input, not a copy of it.
+        assert!(range.contains(&data.as_ptr()));
+        assert_eq!(data.as_ptr_range().end, range.end);
     }
 
     #[test]
@@ -1977,7 +1997,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::wire::{decode_from_slice, encode_to_vec};
+    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
     use proptest::prelude::*;
 
     fn arb_arg() -> impl Strategy<Value = WireArg> {
@@ -2023,7 +2043,9 @@ mod proptests {
             };
             let bytes = encode_to_vec(&call);
             let back: ApiCall = decode_from_slice(&bytes).unwrap();
-            prop_assert_eq!(encode_to_vec(&back), bytes);
+            prop_assert_eq!(encode_to_vec(&back), bytes.clone());
+            let borrowed: ApiCall = decode_from_bytes(Bytes::from(bytes.clone())).unwrap();
+            prop_assert_eq!(encode_to_vec(&borrowed), bytes);
         }
 
         #[test]
@@ -2033,6 +2055,11 @@ mod proptests {
             let _ = decode_from_slice::<Request>(&data);
             let _ = decode_from_slice::<Response>(&data);
             let _ = decode_from_slice::<Envelope>(&data);
+            let _ = decode_from_bytes::<ApiCall>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<ApiReply>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<Request>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<Response>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<Envelope>(Bytes::from(data));
         }
 
         #[test]
@@ -2057,7 +2084,9 @@ mod proptests {
             };
             let bytes = encode_to_vec(&request);
             let back: Request = decode_from_slice(&bytes).unwrap();
-            prop_assert_eq!(back, request);
+            prop_assert_eq!(&back, &request);
+            let borrowed: Request = decode_from_bytes(Bytes::from(bytes)).unwrap();
+            prop_assert_eq!(borrowed, request);
         }
 
         #[test]
@@ -2076,7 +2105,9 @@ mod proptests {
             };
             let bytes = encode_to_vec(&response);
             let back: Response = decode_from_slice(&bytes).unwrap();
-            prop_assert_eq!(back, response);
+            prop_assert_eq!(&back, &response);
+            let borrowed: Response = decode_from_bytes(Bytes::from(bytes)).unwrap();
+            prop_assert_eq!(borrowed, response);
         }
 
         #[test]

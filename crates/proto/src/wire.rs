@@ -86,7 +86,7 @@ pub trait Decode: Sized {
 pub fn encode_to_vec<T: Encode>(value: &T) -> Vec<u8> {
     let mut buf = BytesMut::new();
     value.encode(&mut buf);
-    buf.to_vec()
+    buf.into_vec()
 }
 
 /// Encodes a value into [`Bytes`].
@@ -107,15 +107,29 @@ pub fn encode_into_vec<T: Encode>(value: &T, out: &mut Vec<u8>) {
 
 /// Decodes exactly one value from `bytes`, rejecting trailing garbage.
 ///
+/// Copies the input once; see [`decode_from_bytes`] for the copy-free
+/// form.
+///
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed input or leftover bytes.
 pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let v = T::decode(&mut buf)?;
-    if !buf.is_empty() {
+    decode_from_bytes(Bytes::copy_from_slice(bytes))
+}
+
+/// Decodes exactly one value from `bytes`, rejecting trailing garbage.
+///
+/// Byte-blob fields of the result are views of `bytes`, not copies: they
+/// keep its storage alive until they drop.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on malformed input or leftover bytes.
+pub fn decode_from_bytes<T: Decode>(mut bytes: Bytes) -> Result<T, WireError> {
+    let v = T::decode(&mut bytes)?;
+    if !bytes.is_empty() {
         return Err(WireError::TrailingBytes {
-            remaining: buf.remaining(),
+            remaining: bytes.remaining(),
         });
     }
     Ok(v)
@@ -430,6 +444,9 @@ mod proptests {
             let _ = decode_from_slice::<String>(&data);
             let _ = decode_from_slice::<Vec<u32>>(&data);
             let _ = decode_from_slice::<Option<u64>>(&data);
+            let _ = decode_from_bytes::<String>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<Vec<u32>>(Bytes::from(data.clone()));
+            let _ = decode_from_bytes::<Option<u64>>(Bytes::from(data));
         }
     }
 }

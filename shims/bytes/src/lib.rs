@@ -126,12 +126,37 @@ pub trait BufMut {
 /// A cheaply cloneable, sliceable, immutable byte buffer.
 ///
 /// Clones share the backing allocation; [`Bytes::split_to`] and
-/// [`Bytes::split_off`] adjust view bounds without copying.
-#[derive(Clone, Default)]
+/// [`Bytes::split_off`] adjust view bounds without copying. The storage
+/// is whatever owns the bytes — a vector ([`From<Vec<u8>>`] keeps its
+/// allocation) or any [`Bytes::from_owner`] value — and is dropped with
+/// the last view.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    /// Start of this view inside the owner's bytes.
+    ptr: *const u8,
+    len: usize,
+    /// Keeps the bytes alive; `None` for static and empty views.
+    owner: Option<Arc<dyn Send + Sync>>,
+}
+
+// SAFETY: the viewed bytes are immutable and kept alive by `owner`,
+// which is itself `Send + Sync`.
+unsafe impl Send for Bytes {}
+unsafe impl Sync for Bytes {}
+
+/// Moves a `from_owner` value behind an `Arc`. The owner is only
+/// touched twice: once to take its byte slice, under exclusive access
+/// at construction, and once to drop it — so `Send` is all it needs.
+struct Owned<T>(T);
+
+// SAFETY: no `&Owned<T>` is ever used after construction; sharing one
+// across threads hands out no access to `T`.
+unsafe impl<T: Send> Sync for Owned<T> {}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from_static(&[])
+    }
 }
 
 impl Bytes {
@@ -140,28 +165,43 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static slice (copied; the shim has no zero-copy statics).
+    /// Wraps a static slice without copying.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(bytes)
+        Bytes {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            owner: None,
+        }
+    }
+
+    /// Views the bytes of `owner` without copying. `owner` is dropped
+    /// when the last clone or slice of the result drops.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + 'static,
+    {
+        let owner = Arc::new(Owned(owner));
+        let bytes = owner.0.as_ref();
+        Bytes {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            owner: Some(owner as Arc<dyn Send + Sync>),
+        }
     }
 
     /// Copies `data` into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(data),
-            start: 0,
-            end: data.len(),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length of this view in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// Splits off and returns the first `at` bytes, leaving the rest.
@@ -171,12 +211,8 @@ impl Bytes {
     /// Panics if `at > self.len()`.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
+        let head = self.slice(0..at);
+        self.advance(at);
         head
     }
 
@@ -187,12 +223,8 @@ impl Bytes {
     /// Panics if `at > self.len()`.
     pub fn split_off(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_off out of bounds");
-        let tail = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + at,
-            end: self.end,
-        };
-        self.end = self.start + at;
+        let tail = self.slice(at..self.len);
+        self.len = at;
         tail
     }
 
@@ -204,14 +236,18 @@ impl Bytes {
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
+            // SAFETY: `range.start <= self.len`, so the pointer stays
+            // inside (or one past the end of) the viewed bytes.
+            ptr: unsafe { self.ptr.add(range.start) },
+            len: range.end - range.start,
+            owner: self.owner.clone(),
         }
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: `ptr..ptr + len` lies inside bytes that `owner` (or a
+        // static) keeps alive and never mutates.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -230,13 +266,9 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over the vector's allocation; nothing is copied.
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            data: Arc::from(v),
-            start: 0,
-            end: len,
-        }
+        Bytes::from_owner(v)
     }
 }
 
@@ -257,7 +289,9 @@ impl Buf for Bytes {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
-        self.start += cnt;
+        // SAFETY: `cnt <= self.len`, so the pointer stays in bounds.
+        self.ptr = unsafe { self.ptr.add(cnt) };
+        self.len -= cnt;
     }
 }
 
@@ -419,6 +453,66 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(b.len(), 64);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![5u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(10..20).as_ptr(), ptr.wrapping_add(10));
+        let frozen = BytesMut::from_vec(vec![1, 2, 3]);
+        let ptr = frozen.as_ptr();
+        assert_eq!(frozen.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn from_owner_drops_the_owner_with_the_last_view() {
+        struct Owner(Vec<u8>, Arc<std::sync::atomic::AtomicUsize>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let dropped = || drops.load(std::sync::atomic::Ordering::SeqCst);
+        let data = vec![1u8, 2, 3, 4, 5, 6];
+        let ptr = data.as_ptr();
+        let mut b = Bytes::from_owner(Owner(data, Arc::clone(&drops)));
+        assert_eq!(b.as_ptr(), ptr);
+        let clone = b.clone();
+        let head = b.split_to(2);
+        let tail = b.split_off(2);
+        let sliced = clone.slice(1..3);
+        assert_eq!(
+            (&head[..], &b[..], &tail[..]),
+            (&[1, 2][..], &[3, 4][..], &[5, 6][..])
+        );
+        assert_eq!(sliced.as_ptr(), ptr.wrapping_add(1));
+        drop(b);
+        drop(clone);
+        drop(head);
+        drop(tail);
+        assert_eq!(dropped(), 0, "a slice is still alive");
+        // The last view may drop on another thread.
+        std::thread::spawn(move || drop(sliced)).join().unwrap();
+        assert_eq!(dropped(), 1);
+    }
+
+    #[test]
+    fn static_and_empty_views() {
+        static DATA: [u8; 3] = [7, 8, 9];
+        let b = Bytes::from_static(&DATA);
+        assert_eq!(b.as_ptr(), DATA.as_ptr());
+        assert_eq!(b.slice(1..3), [8u8, 9]);
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::new(), Bytes::copy_from_slice(&[]));
     }
 
     #[test]

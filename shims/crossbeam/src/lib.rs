@@ -3,9 +3,11 @@
 //! Provides `crossbeam::channel` — an unbounded MPMC channel with
 //! disconnect tracking — which is the only piece of crossbeam the HaoCL
 //! workspace uses (the in-process network fabric's per-connection
-//! queues). Backed by a `Mutex<VecDeque>` + `Condvar`; throughput is far
-//! below real crossbeam's but the fabric moves whole frames, not bytes,
-//! so the queue is never the bottleneck in the virtual-time simulation.
+//! queues). Backed by a `Mutex<VecDeque>` + `Condvar`, so every send
+//! takes a lock and wakes a waiter; throughput is far below real
+//! crossbeam's. The fabric sends one item per frame (a view of a pooled
+//! buffer, never the bytes themselves), which keeps that cost to one
+//! handoff per message.
 
 pub mod channel {
     use std::collections::VecDeque;
